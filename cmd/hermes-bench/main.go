@@ -49,6 +49,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -194,13 +195,7 @@ func run() error {
 			selected[strings.TrimSpace(name)] = true
 		}
 		for name := range selected {
-			found := false
-			for _, e := range all {
-				if e.name == name {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.ContainsFunc(all, func(e experiment) bool { return e.name == name }) {
 				return fmt.Errorf("unknown experiment %q", name)
 			}
 		}

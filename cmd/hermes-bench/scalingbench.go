@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -114,7 +115,7 @@ func runScalingBench(cfg scalingBenchConfig) error {
 		Seed:       cfg.seed,
 		Reps:       cfg.reps,
 	}
-	if max := maxInt(cores); max > hostCPUs {
+	if max := slices.Max(cores); max > hostCPUs {
 		out.Note = fmt.Sprintf("host has %d CPUs: points above %d cores are saturated and cannot scale further; rerun on a wider host for the full curve", hostCPUs, hostCPUs)
 	}
 	prev := runtime.GOMAXPROCS(0)
@@ -220,14 +221,4 @@ func runScalingBench(cfg scalingBenchConfig) error {
 	}
 	fmt.Printf("wrote %s\n", cfg.path)
 	return nil
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -51,9 +51,7 @@ func main() {
 	reg := node.NewRegistry()
 	h := node.NewHermesAllocatorWith("svc", hermes.DefaultHermesConfig(), reg, true)
 	defer h.Close()
-	for _, pid := range runner.PIDs() {
-		reg.AddBatch(pid)
-	}
+	reg.AddBatch(runner.PIDs()...)
 	daemon := node.StartDaemon(reg, hermes.DefaultDaemonConfig())
 	defer daemon.Stop()
 
@@ -65,9 +63,7 @@ func main() {
 			b, c := h.Malloc(node.Now(), 4096)
 			node.Advance(c + h.Touch(node.Now().Add(c), b))
 		}
-		for _, pid := range runner.PIDs() {
-			reg.AddBatch(pid)
-		}
+		reg.AddBatch(runner.PIDs()...)
 		node.Advance(time.Second)
 		st := daemon.Stats()
 		fmt.Printf("%-8s %-12s %-12s %-10.1f %-12d %-10v\n",

@@ -47,9 +47,7 @@ func run(useHermes bool) (time.Duration, *hermes.Recorder) {
 	if useHermes {
 		reg := node.NewRegistry()
 		h := node.NewHermesAllocatorWith("redis", hermes.DefaultHermesConfig(), reg, true)
-		for _, pid := range runner.PIDs() {
-			reg.AddBatch(pid)
-		}
+		reg.AddBatch(runner.PIDs()...)
 		daemon := node.StartDaemon(reg, hermes.DefaultDaemonConfig())
 		defer daemon.Stop()
 		a = h

@@ -205,7 +205,7 @@ func (r *Runner) InputFilePIDs() []kernel.PID {
 	var out []kernel.PID
 	for _, j := range r.jobs {
 		if j.input != nil && !j.input.Deleted() {
-			out = append(out, j.input.OwnerPID)
+			out = append(out, j.input.Owner())
 		}
 	}
 	return out

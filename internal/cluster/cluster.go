@@ -422,12 +422,20 @@ func (c *Cluster) stopPressure(n *Node) {
 	// pressure's working set stays cached after Stop, and the daemon can
 	// only release cache owned by registered batch PIDs — the same
 	// invariant the batch refresh prune keeps for churned containers.
-	for _, f := range n.kernel.FilesOwnedBy(pid) {
+	if !ownsResidentCache(n.kernel, pid) {
+		n.registry.RemoveBatch(pid)
+	}
+}
+
+// ownsResidentCache reports whether pid owns a live file with pages in the
+// page cache — cache the daemon can release only while pid stays registered.
+func ownsResidentCache(k *kernel.Kernel, pid kernel.PID) bool {
+	for _, f := range k.FilesOwnedBy(pid) {
 		if !f.Deleted() && f.CachedPages() > 0 {
-			return
+			return true
 		}
 	}
-	n.registry.RemoveBatch(pid)
+	return false
 }
 
 // attachBatchRefresh wires the administrator's periodic batch registration
@@ -440,12 +448,8 @@ func (c *Cluster) attachBatchRefresh(node *Node) {
 	// The administrator registers batch containers; containers churn, so
 	// the registration refreshes periodically (§3.3).
 	register := func() {
-		for _, pid := range node.runner.PIDs() {
-			node.registry.AddBatch(pid)
-		}
-		for _, pid := range node.runner.InputFilePIDs() {
-			node.registry.AddBatch(pid)
-		}
+		node.registry.AddBatch(node.runner.PIDs()...)
+		node.registry.AddBatch(node.runner.InputFilePIDs()...)
 		// Prune churned containers so the registry doesn't grow
 		// without bound — but keep dead PIDs that still own cached
 		// files: completed jobs leave their input cache resident
@@ -454,14 +458,7 @@ func (c *Cluster) attachBatchRefresh(node *Node) {
 			if p := node.kernel.Process(pid); p != nil && !p.Dead() {
 				continue
 			}
-			ownsCache := false
-			for _, f := range node.kernel.FilesOwnedBy(pid) {
-				if !f.Deleted() && f.CachedPages() > 0 {
-					ownsCache = true
-					break
-				}
-			}
-			if !ownsCache {
+			if !ownsResidentCache(node.kernel, pid) {
 				node.registry.RemoveBatch(pid)
 			}
 		}

@@ -145,10 +145,11 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long co-location window")
 	}
-	// At CI scale only the scale-invariant claims are asserted; the full
-	// Default ≥ Hermes > Killing ordering emerges at the full scale's
-	// paper-proportioned footprints (see EXPERIMENTS.md): a 2 GB node is
-	// over-committed so hard that killing containers *helps* throughput.
+	// At CI scale only the scale-invariant claims are asserted: a 2 GB
+	// node is over-committed so hard that killing containers *helps*
+	// throughput. At full scale Redis shows the paper's Default ≥ Hermes >
+	// Killing ordering but RocksDB does not (Killing beats Hermes), so
+	// that ordering is unverified; see EXPERIMENTS.md.
 	r := Table1(QuickScale(), 1)
 	for _, svc := range []ServiceKind{ServiceRedis, ServiceRocksdb} {
 		jobs := r.Jobs[svc]

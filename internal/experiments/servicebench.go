@@ -88,18 +88,12 @@ func runServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, rec
 		// The administrator registers batch containers; containers churn,
 		// so the registration is refreshed periodically (§3.3).
 		refresh := simtime.NewPeriodicTask(s, 500*simtime.Millisecond, func(simtime.Time) simtime.Duration {
-			for _, pid := range runner.PIDs() {
-				env.reg.AddBatch(pid)
-			}
-			for _, pid := range runner.InputFilePIDs() {
-				env.reg.AddBatch(pid)
-			}
+			env.reg.AddBatch(runner.PIDs()...)
+			env.reg.AddBatch(runner.InputFilePIDs()...)
 			return 10 * simtime.Microsecond
 		})
 		defer refresh.Stop()
-		for _, pid := range runner.PIDs() {
-			env.reg.AddBatch(pid)
-		}
+		env.reg.AddBatch(runner.PIDs()...)
 	}
 
 	name := fmt.Sprintf("%s-%s-%s", svcKind, allocKind, SizeLabel(recordBytes))

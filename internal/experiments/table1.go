@@ -83,12 +83,8 @@ func runTable1Cell(svcKind ServiceKind, scenario Table1Scenario, scale Scale, se
 	defer env.close()
 	if env.reg != nil && runner != nil {
 		refresh := simtime.NewPeriodicTask(s, simtime.Second, func(simtime.Time) simtime.Duration {
-			for _, pid := range runner.PIDs() {
-				env.reg.AddBatch(pid)
-			}
-			for _, pid := range runner.InputFilePIDs() {
-				env.reg.AddBatch(pid)
-			}
+			env.reg.AddBatch(runner.PIDs()...)
+			env.reg.AddBatch(runner.InputFilePIDs()...)
 			return 10 * simtime.Microsecond
 		})
 		defer refresh.Stop()

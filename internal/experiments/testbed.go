@@ -145,9 +145,7 @@ func newAllocEnvCfg(k *kernel.Kernel, kind AllocKind, name string, batchPIDs []k
 		env.hermes = h
 		env.a = h
 		if kind == KindHermes {
-			for _, pid := range batchPIDs {
-				env.reg.AddBatch(pid)
-			}
+			env.reg.AddBatch(batchPIDs...)
 			env.daemon = monitor.NewDaemon(k, env.reg, monitor.DefaultConfig())
 		}
 	default:

@@ -8,10 +8,11 @@ import "fmt"
 // reclamation targets exactly these pages.
 type File struct {
 	Name string
-	// OwnerPID tags the process that created or loads the file; the
-	// monitor daemon uses it to find batch-job files (the paper's daemon
-	// shells out to lsof for the same information).
-	OwnerPID PID
+	// owner tags the process that created or loads the file; the monitor
+	// daemon uses it to find batch-job files (the paper's daemon shells out
+	// to lsof for the same information). It never changes after
+	// CreateFile, which is what lets the kernel index files by owner.
+	owner PID
 
 	// sizePages is the file length.
 	sizePages int64
@@ -28,6 +29,9 @@ type File struct {
 	// arena. Maintained by the lruList operations.
 	lruChain [2]ownerChain
 }
+
+// Owner returns the PID the file was created for.
+func (f *File) Owner() PID { return f.owner }
 
 // SizePages returns the file length in pages.
 func (f *File) SizePages() int64 { return f.sizePages }

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
@@ -21,8 +23,9 @@ func (k *Kernel) CreateFile(name string, sizePages int64, owner PID) *File {
 	if _, ok := k.files[name]; ok {
 		panic(fmt.Sprintf("kernel: file %q already exists", name))
 	}
-	f := &File{Name: name, OwnerPID: owner, sizePages: sizePages}
+	f := &File{Name: name, owner: owner, sizePages: sizePages}
 	k.files[name] = f
+	k.byOwner[owner] = append(k.byOwner[owner], f)
 	return f
 }
 
@@ -39,20 +42,13 @@ func (k *Kernel) Files() []*File {
 }
 
 // FilesOwnedBy returns the files tagged with the given owner PID, sorted by
-// descending size — the order the monitor daemon's largest-file-first policy
-// wants.
+// descending size, then name — the order the monitor daemon's
+// largest-file-first policy wants. The slice is the caller's own copy.
+// Sizes change under WriteFile(extend), so the sort happens per query.
 func (k *Kernel) FilesOwnedBy(pid PID) []*File {
-	var out []*File
-	for _, f := range k.files {
-		if f.OwnerPID == pid {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].sizePages != out[j].sizePages {
-			return out[i].sizePages > out[j].sizePages
-		}
-		return out[i].Name < out[j].Name
+	out := append([]*File(nil), k.byOwner[pid]...)
+	slices.SortFunc(out, func(a, b *File) int {
+		return cmp.Or(cmp.Compare(b.sizePages, a.sizePages), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }
@@ -107,7 +103,7 @@ func (k *Kernel) WriteFile(at simtime.Time, f *File, n int64, extend bool) simti
 		f.sizePages += n
 		uncached += n
 	}
-	newPages := min64(n, uncached)
+	newPages := min(n, uncached)
 	if newPages > 0 {
 		cost += k.allocPages(at, newPages)
 		f.cached += newPages
@@ -165,6 +161,44 @@ func (k *Kernel) DeleteFile(f *File) {
 	}
 	f.deleted = true
 	delete(k.files, f.Name)
+	k.unindexOwner(f)
+}
+
+// unindexOwner swap-removes f from its owner's byOwner list, dropping the
+// key when the list empties.
+func (k *Kernel) unindexOwner(f *File) {
+	owned := k.byOwner[f.owner]
+	i := 0
+	for owned[i] != f {
+		i++
+	}
+	last := len(owned) - 1
+	owned[i], owned[last] = owned[last], nil
+	if last == 0 {
+		delete(k.byOwner, f.owner)
+	} else {
+		k.byOwner[f.owner] = owned[:last]
+	}
+}
+
+// checkOwnerIndex panics unless byOwner holds every live file exactly once,
+// under its owner, and nothing else.
+func (k *Kernel) checkOwnerIndex() {
+	seen := make(map[*File]bool, len(k.files))
+	for pid, owned := range k.byOwner {
+		if len(owned) == 0 {
+			panic(fmt.Sprintf("kernel: owner index keeps an empty list for pid %d", pid))
+		}
+		for _, f := range owned {
+			if f.owner != pid || seen[f] || k.files[f.Name] != f {
+				panic(fmt.Sprintf("kernel: owner index entry %q under pid %d is misfiled, repeated or deleted", f.Name, pid))
+			}
+			seen[f] = true
+		}
+	}
+	if len(seen) != len(k.files) {
+		panic(fmt.Sprintf("kernel: owner index holds %d of %d live files", len(seen), len(k.files)))
+	}
 }
 
 func (k *Kernel) dropFileFromLRU(f *File, n int64) {

@@ -140,6 +140,7 @@ type Kernel struct {
 
 	procs      map[PID]*Process
 	files      map[string]*File
+	byOwner    map[PID][]*File // live files by owner; see FilesOwnedBy
 	nextPID    PID
 	nextRegion RegionID
 
@@ -169,6 +170,7 @@ func New(sched *simtime.Scheduler, cfg Config) *Kernel {
 		lru:        newLRUSet(),
 		procs:      make(map[PID]*Process),
 		files:      make(map[string]*File),
+		byOwner:    make(map[PID][]*File),
 	}
 	k.freePages = k.totalPages
 	k.swapFree = k.swapTotal
@@ -474,6 +476,7 @@ func (k *Kernel) CheckInvariants() {
 	if fileLRU != cached {
 		panic(fmt.Sprintf("kernel: file LRU %d != cached %d", fileLRU, cached))
 	}
+	k.checkOwnerIndex()
 	for kind := listActiveAnon; kind <= listInactiveFile; kind++ {
 		k.lru.byKind(kind).checkChains()
 	}

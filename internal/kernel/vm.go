@@ -134,18 +134,18 @@ func (k *Kernel) releaseRegion(r *Region, pages int64) {
 	}
 	remaining := pages
 
-	take := min64(remaining, r.Untouched())
+	take := min(remaining, r.Untouched())
 	remaining -= take
 
 	if remaining > 0 && r.locked > 0 {
-		n := min64(remaining, r.locked)
+		n := min(remaining, r.locked)
 		r.locked -= n
 		r.mapped -= n
 		k.freePagesBack(n)
 		remaining -= n
 	}
 	if remaining > 0 && r.unlockedMapped() > 0 {
-		n := min64(remaining, r.unlockedMapped())
+		n := min(remaining, r.unlockedMapped())
 		removed := k.lru.activeAnon.removeOwner(r, nil, n)
 		if removed < n {
 			removed += k.lru.inactiveAnon.removeOwner(r, nil, n-removed)
@@ -158,7 +158,7 @@ func (k *Kernel) releaseRegion(r *Region, pages int64) {
 		remaining -= n
 	}
 	if remaining > 0 && r.swapped > 0 {
-		n := min64(remaining, r.swapped)
+		n := min(remaining, r.swapped)
 		r.swapped -= n
 		k.swapFree += n
 		remaining -= n
@@ -306,11 +306,4 @@ func (k *Kernel) mustLiveRegion(r *Region) {
 	if r == nil || r.dead || r.Proc == nil || r.Proc.dead {
 		panic("kernel: operation on dead region")
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

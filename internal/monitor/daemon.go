@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/simtime"
@@ -91,16 +93,23 @@ func (d *Daemon) tick(now simtime.Time) simtime.Duration {
 		return busy
 	}
 	files := d.batchFilesLargestFirst()
+	// FadviseDontNeed changes only the advised file's cache, so the batch
+	// total is summed once and kept exact by subtracting each release.
+	var cached int64
+	for _, f := range files {
+		cached += f.CachedPages()
+	}
 	targetPages := int64(d.cfg.FileCacheTarget * float64(d.k.TotalPages()))
 	at := now.Add(busy)
 	for _, f := range files {
-		if d.batchCachedPages() <= targetPages {
+		if cached <= targetPages {
 			break
 		}
 		if f.CachedPages() == 0 {
 			continue
 		}
 		released, cost := d.k.FadviseDontNeed(at, f)
+		cached -= released
 		busy += cost
 		at = at.Add(cost)
 		d.stats.AdviseCalls++
@@ -114,24 +123,11 @@ func (d *Daemon) tick(now simtime.Time) simtime.Duration {
 // chunk of memory available at once and minimises advise calls (§3.3).
 func (d *Daemon) batchFilesLargestFirst() []*kernel.File {
 	var files []*kernel.File
-	for _, pid := range d.registry.BatchPIDs() {
+	for pid := range d.registry.batch {
 		files = append(files, d.k.FilesOwnedBy(pid)...)
 	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].CachedPages() != files[j].CachedPages() {
-			return files[i].CachedPages() > files[j].CachedPages()
-		}
-		return files[i].Name < files[j].Name
+	slices.SortFunc(files, func(a, b *kernel.File) int {
+		return cmp.Or(cmp.Compare(b.CachedPages(), a.CachedPages()), strings.Compare(a.Name, b.Name))
 	})
 	return files
-}
-
-func (d *Daemon) batchCachedPages() int64 {
-	var n int64
-	for _, pid := range d.registry.BatchPIDs() {
-		for _, f := range d.k.FilesOwnedBy(pid) {
-			n += f.CachedPages()
-		}
-	}
-	return n
 }

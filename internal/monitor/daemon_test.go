@@ -146,3 +146,77 @@ func TestDaemonInvalidConfigPanics(t *testing.T) {
 	}()
 	NewDaemon(k, NewRegistry(), Config{Period: 0})
 }
+
+// TestDaemonStopPoint pins where a tick stops in Table 1's shape: many
+// registered batch PIDs, most of them dead and owning no files, a few
+// owning files of different cached sizes, and a non-batch file the daemon
+// must skip. The tick advises largest cached first and stops at the first
+// file where the remaining batch cache is at or below FileCacheTarget —
+// here one page past the boundary, so an off-by-one in the running total
+// either advises a fourth file or stops after the second.
+func TestDaemonStopPoint(t *testing.T) {
+	k, s := newTestNode(t)
+	reg := NewRegistry()
+	d := NewDaemon(k, reg, DefaultConfig())
+	defer d.Stop()
+
+	for i := 0; i < 40; i++ {
+		dead := k.CreateProcess("batch-done")
+		reg.AddBatch(dead.PID)
+		k.ExitProcess(dead)
+	}
+	jobs := make([]*kernel.Process, 3)
+	for i := range jobs {
+		jobs[i] = k.CreateProcess("batch")
+		reg.AddBatch(jobs[i].PID)
+	}
+	target := int64(DefaultConfig().FileCacheTarget * float64(k.TotalPages()))
+	half := target / 2
+	cached := map[string]int64{}
+	add := func(name string, owner *kernel.Process, pages int64) {
+		f := k.CreateFile(name, pages+64, owner.PID)
+		k.ReadFile(s.Now(), f, pages)
+		if f.CachedPages() != pages {
+			t.Fatalf("%s cached %d, want %d", name, f.CachedPages(), pages)
+		}
+		cached[name] = pages
+	}
+	add("a.in", jobs[0], 2*target)
+	add("b.in", jobs[1], target)
+	// After a and b, c+d+e leaves exactly target+1 pages: c must go.
+	add("c.in", jobs[2], half+1)
+	add("d.in", jobs[1], target-half-100)
+	add("e.in", jobs[2], 100)
+	k.CreateFile("z.in", 500, jobs[0].PID) // never read: nothing to release
+	svc := k.CreateProcess("redis")
+	add("svc.rdb", svc, 4*target)
+
+	hog := k.CreateProcess("hog")
+	pages := int64(float64(k.TotalPages())*0.95) - (k.TotalPages() - k.FreePages())
+	r, _ := k.Mmap(s.Now(), hog, pages)
+	k.FaultIn(s.Now(), r, pages)
+	if k.UsedFraction() < DefaultConfig().AdvThreshold {
+		t.Fatalf("setup must cross adv_thr: used %.3f", k.UsedFraction())
+	}
+
+	s.Advance(simtime.Second)
+	advised := map[string]bool{}
+	for name, pages := range cached {
+		switch got := k.File(name).CachedPages(); got {
+		case 0:
+			advised[name] = true
+		case pages:
+		default:
+			t.Fatalf("%s partially released: %d of %d pages left", name, got, pages)
+		}
+	}
+	if len(advised) != 3 || !advised["a.in"] || !advised["b.in"] || !advised["c.in"] {
+		t.Fatalf("advised %v, want exactly a.in, b.in, c.in", advised)
+	}
+	st := d.Stats()
+	wantPages := cached["a.in"] + cached["b.in"] + cached["c.in"]
+	if st.AdviseCalls != 3 || st.PagesReleased != wantPages {
+		t.Fatalf("stats %+v, want 3 advise calls releasing %d pages", st, wantPages)
+	}
+	k.CheckInvariants()
+}

@@ -34,9 +34,13 @@ func (r *Registry) RemoveLatencyCritical(pid kernel.PID) { delete(r.latencyCriti
 // IsLatencyCritical reports whether pid is registered as latency-critical.
 func (r *Registry) IsLatencyCritical(pid kernel.PID) bool { return r.latencyCritical[pid] }
 
-// AddBatch registers a batch job whose file cache may be proactively
+// AddBatch registers batch jobs whose file cache may be proactively
 // released.
-func (r *Registry) AddBatch(pid kernel.PID) { r.batch[pid] = true }
+func (r *Registry) AddBatch(pids ...kernel.PID) {
+	for _, pid := range pids {
+		r.batch[pid] = true
+	}
+}
 
 // RemoveBatch unregisters a batch job.
 func (r *Registry) RemoveBatch(pid kernel.PID) { delete(r.batch, pid) }
