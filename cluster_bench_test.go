@@ -10,6 +10,7 @@
 package hermes_test
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -98,6 +99,43 @@ func BenchmarkClusterScenarioPhased(b *testing.B) {
 		}
 		if rep.Requests == 0 || len(rep.Phases) != 3 {
 			b.Fatalf("scenario bench served %d requests over %d phases", rep.Requests, len(rep.Phases))
+		}
+		if i == 0 {
+			b.ReportMetric(float64(rep.Cluster.P99.Nanoseconds()), "p99-ns")
+		}
+	}
+}
+
+// BenchmarkClusterScenarioBrownoutRaw runs the committed brownout preset at
+// a tenth of its load with exact raw digests: the resilience expander
+// (retries, hedges, its pending-attempt heap) and raw-digest finalization
+// (leaf sorts and sorted merges), which the histogram bench above skips.
+func BenchmarkClusterScenarioBrownoutRaw(b *testing.B) {
+	data, err := os.ReadFile("examples/scenarios/brownout.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := hermes.ParseScenarioSpec(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.Overrides.Apply(hermes.DefaultClusterConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Stats = hermes.StatsRaw
+	scn := spec.Scenario.Scaled(0.1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := hermes.NewCluster(cfg)
+		rep, err := c.RunScenario(scn)
+		c.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Requests == 0 || rep.Retries == 0 || rep.Hedges == 0 {
+			b.Fatalf("brownout bench served %d requests with %d retries and %d hedges",
+				rep.Requests, rep.Retries, rep.Hedges)
 		}
 		if i == 0 {
 			b.ReportMetric(float64(rep.Cluster.P99.Nanoseconds()), "p99-ns")

@@ -856,6 +856,19 @@ func (c *Cluster) finish(st *runState) Report {
 		n.sched.RunUntil(horizon)
 	}
 
+	// Sort each raw leaf once, on its own node's goroutine, so every merge
+	// below is linear and every Summarize finds its recorder sorted.
+	c.sortLeaves(func(ni int) {
+		for _, sh := range c.shards {
+			for inst, in := range sh.instances {
+				if in.node.Index == ni {
+					st.shard[sh.ID][inst].Sort()
+				}
+			}
+		}
+		st.wait[ni].Sort()
+	})
+
 	// Fold the per-instance run counters into the shards' cumulative
 	// counters (single-threaded here; the hot path never touches them) and
 	// assemble each shard's digest from its instances in chain order.
@@ -922,6 +935,23 @@ func (c *Cluster) finish(st *runState) Report {
 		report.PerShard = append(report.PerShard, shardRecs[i].Summarize())
 	}
 	return report
+}
+
+// sortLeaves runs sortNode(ni) for every node on its own goroutine and
+// waits. Histogram digests have nothing to sort, so then it does nothing.
+func (c *Cluster) sortLeaves(sortNode func(ni int)) {
+	if c.cfg.StatsBackend() == StatsHistogram {
+		return
+	}
+	var wg sync.WaitGroup
+	for ni := range c.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sortNode(ni)
+		}()
+	}
+	wg.Wait()
 }
 
 // Run drives the fleet with the open-loop stream described by load and

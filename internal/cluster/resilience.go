@@ -273,7 +273,6 @@ func (m resAttempt) is(f uint8) bool { return m.flags&f != 0 }
 // heap.
 type pendingAttempt struct {
 	at        simtime.Time
-	seq       int64 // tie-break: insertion order
 	req       workload.Request
 	phase     int32
 	class     int32
@@ -285,53 +284,74 @@ type pendingAttempt struct {
 	hinst     int32 // replica-chain position a hedge is pinned to
 }
 
-// retryHeap is a min-heap on (at, seq); seq makes same-instant ordering
-// deterministic.
-type retryHeap []pendingAttempt
-
-func (h retryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
+// heapKey places one pending attempt in retryHeap: seq breaks ties on at
+// in insertion order, and slot indexes the attempt in the slab.
+type heapKey struct {
+	at   simtime.Time
+	seq  int64
+	slot int32
 }
 
+func (k heapKey) less(o heapKey) bool {
+	return k.at < o.at || k.at == o.at && k.seq < o.seq
+}
+
+// retryHeap is a min-heap on (at, seq) over small keys; the attempts stay
+// put in a slab whose freed slots are reused, so sifting never copies one.
+type retryHeap struct {
+	keys []heapKey
+	slab []pendingAttempt
+	free []int32
+	seq  int64
+}
+
+func (h *retryHeap) Len() int { return len(h.keys) }
+
+// peekAt returns the earliest pending instant; the heap must be non-empty.
+func (h *retryHeap) peekAt() simtime.Time { return h.keys[0].at }
+
 func (h *retryHeap) push(p pendingAttempt) {
-	*h = append(*h, p)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+	slot := int32(len(h.slab))
+	if n := len(h.free); n > 0 {
+		slot, h.free = h.free[n-1], h.free[:n-1]
+		h.slab[slot] = p
+	} else {
+		h.slab = append(h.slab, p)
 	}
+	h.seq++
+	k := heapKey{at: p.at, seq: h.seq, slot: slot}
+	// Sift up with a hole: move parents down, then place k once.
+	i := len(h.keys)
+	h.keys = append(h.keys, k)
+	for i > 0 && k.less(h.keys[(i-1)/2]) {
+		h.keys[i] = h.keys[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	h.keys[i] = k
 }
 
 func (h *retryHeap) pop() pendingAttempt {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	top := h.keys[0].slot
+	n := len(h.keys) - 1
+	k := h.keys[n]
+	h.keys = h.keys[:n]
+	// Sift the last key down from the root's hole.
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h.keys[c+1].less(h.keys[c]) {
+			c++
 		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
+		if !h.keys[c].less(k) {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+		h.keys[i] = h.keys[c]
+		i = c
 	}
-	return top
+	if n > 0 {
+		h.keys[i] = k
+	}
+	h.free = append(h.free, top)
+	return h.slab[top]
 }
 
 // resExpander turns the scenario's client-request stream into the attempt
@@ -341,7 +361,6 @@ type resExpander struct {
 	c      *Cluster
 	sr     *scenarioRun
 	heap   retryHeap
-	seq    int64
 	nextID int64
 	emit   func(req workload.Request, shard, inst, pc int32, meta resAttempt)
 }
@@ -381,12 +400,11 @@ func (x *resExpander) condObservable(shard int, anchor int32, op workload.Op, at
 
 // spawnRetry queues the chain's next attempt.
 func (x *resExpander) spawnRetry(p pendingAttempt, rc *resClass, delay simtime.Duration, cond bool, anchor int32) {
-	x.seq++
 	at := p.at.Add(delay)
 	req := p.req
 	req.At = at
 	x.heap.push(pendingAttempt{
-		at: at, seq: x.seq, req: req,
+		at: at, req: req,
 		phase: p.phase, class: p.class, id: p.id,
 		attemptNo: p.attemptNo + 1, cond: cond, anchor: anchor,
 	})
@@ -528,11 +546,10 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			if sr.topo != nil && !sr.topo.upAt(c.chains[shard][hi], th) {
 				continue
 			}
-			x.seq++
 			hreq := p.req
 			hreq.At = th
 			x.heap.push(pendingAttempt{
-				at: th, seq: x.seq, req: hreq,
+				at: th, req: hreq,
 				phase: p.phase, class: p.class, id: p.id,
 				attemptNo: p.attemptNo, hedge: true, hinst: int32(hi),
 			})
@@ -550,10 +567,10 @@ func (c *Cluster) generateResilient(scn workload.Scenario, sr *scenarioRun,
 	x := &resExpander{c: c, sr: sr, emit: emit}
 	d := workload.NewScenarioDriver(scn)
 	pending, ok := d.Next()
-	for ok || len(x.heap) > 0 {
+	for ok || x.heap.Len() > 0 {
 		// Earliest instant wins; a retry beats a client request at the
 		// same instant (it entered the system first).
-		if len(x.heap) > 0 && (!ok || !x.heap[0].at.After(pending.At)) {
+		if x.heap.Len() > 0 && (!ok || !x.heap.peekAt().After(pending.At)) {
 			x.emitAttempt(x.heap.pop())
 			continue
 		}

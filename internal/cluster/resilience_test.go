@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"math/rand/v2"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -506,5 +508,48 @@ func TestResilienceValidation(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRetryHeapPopOrder drives the expander's key heap with random
+// push/pop interleavings over few distinct instants, so ties on at are the
+// common case. Every pop must return the live attempt least by (at,
+// insertion order), and the slab must never outgrow the peak number of
+// live attempts: freed slots are reused.
+func TestRetryHeapPopOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for trial := range 50 {
+		var h retryHeap
+		var live []pendingAttempt // id = insertion order
+		var nextID int64
+		peak := 0
+		for step := range 400 {
+			if len(live) == 0 || rng.IntN(5) < 3 {
+				nextID++
+				p := pendingAttempt{at: simtime.Time(rng.IntN(8)), id: nextID}
+				h.push(p)
+				live = append(live, p)
+				peak = max(peak, len(live))
+			} else {
+				least := 0
+				for i, p := range live {
+					if p.at < live[least].at || p.at == live[least].at && p.id < live[least].id {
+						least = i
+					}
+				}
+				got := h.pop()
+				if got != live[least] {
+					t.Fatalf("trial %d step %d: popped (at %d, id %d), want (at %d, id %d)",
+						trial, step, got.at, got.id, live[least].at, live[least].id)
+				}
+				live = slices.Delete(live, least, least+1)
+			}
+			if h.Len() != len(live) {
+				t.Fatalf("trial %d step %d: Len %d, want %d", trial, step, h.Len(), len(live))
+			}
+			if len(h.slab) > peak {
+				t.Fatalf("trial %d step %d: slab holds %d slots, peak live %d", trial, step, len(h.slab), peak)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -281,8 +282,8 @@ func (c *Cluster) newScenarioRun(scn workload.Scenario, topo *topology, res *res
 	}
 	for ni := range sr.events {
 		// Stable: same-instant events keep declaration order.
-		sort.SliceStable(sr.events[ni], func(i, j int) bool {
-			return sr.events[ni][i].at.Before(sr.events[ni][j].at)
+		slices.SortStableFunc(sr.events[ni], func(a, b nodeEvent) int {
+			return cmp.Compare(a.at, b.at)
 		})
 	}
 	return sr
@@ -948,8 +949,8 @@ func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds 
 				rep.PerNode[ni].Actions = acts
 				rep.Actions = append(rep.Actions, acts...)
 			}
-			sort.SliceStable(rep.Actions, func(i, j int) bool {
-				return rep.Actions[i].At.Before(rep.Actions[j].At)
+			slices.SortStableFunc(rep.Actions, func(a, b ControllerAction) int {
+				return cmp.Compare(a.At, b.At)
 			})
 		}
 	}
@@ -1007,6 +1008,11 @@ func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds 
 		rep.Phases = []PhaseReport{pr}
 		return rep
 	}
+	c.sortLeaves(func(ni int) {
+		for _, pc := range sr.pc {
+			pc.node[ni].Sort()
+		}
+	})
 	for pi, p := range scn.Phases {
 		pr := PhaseReport{Name: p.Name}
 		if pi < len(bounds) {

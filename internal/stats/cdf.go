@@ -28,7 +28,7 @@ func (r *Recorder) CDF(n int) []CDFPoint {
 		}
 		return points
 	}
-	r.ensureSorted()
+	r.Sort()
 	points := make([]CDFPoint, 0, n)
 	for i := 1; i <= n; i++ {
 		frac := float64(i) / float64(n)
@@ -65,7 +65,7 @@ func (r *Recorder) TailCDF(from float64, n int) []CDFPoint {
 		}
 		return points
 	}
-	r.ensureSorted()
+	r.Sort()
 	points := make([]CDFPoint, 0, n)
 	for i := 0; i < n; i++ {
 		frac := from + (1-from)*float64(i)/span

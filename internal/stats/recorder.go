@@ -67,11 +67,13 @@ func (r *Recorder) Record(d time.Duration) {
 	r.sum += d
 }
 
-// Merge folds o's samples into r without re-recording them one by one: raw
-// recorders append o's sample slice, streaming recorders add bucket counts
-// in O(buckets). Cluster runs use it to fold run-local digests into the
-// persistent per-shard recorders and to build node/cluster rollups. Both
-// recorders must be in the same mode; o is left unchanged.
+// Merge folds o's samples into r without re-recording them one by one:
+// streaming recorders add bucket counts in O(buckets); raw recorders merge
+// two sorted runs in linear time (r stays sorted), else append. Cluster
+// runs use it to fold run-local digests into the persistent per-shard
+// recorders and to build node/cluster rollups. Both recorders must be in
+// the same mode. Merge never writes o, but the cluster sorts its leaves in
+// place before merging them, so only o's multiset of samples is kept.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
@@ -83,12 +85,29 @@ func (r *Recorder) Merge(o *Recorder) {
 		r.hist.Merge(o.hist)
 		return
 	}
-	if len(o.samples) == 0 {
+	m, n := len(o.samples), len(r.samples)
+	if m == 0 {
 		return
 	}
-	r.samples = append(r.samples, o.samples...)
-	r.sorted = false
 	r.sum += o.sum
+	if n == 0 || !r.sorted || !o.sorted {
+		r.samples = append(r.samples, o.samples...)
+		r.sorted = n == 0 && o.sorted
+		return
+	}
+	// Merge the two sorted runs from the back into the grown buffer. The
+	// write index k = i+j+1 stays above both unread prefixes, so this holds
+	// even for a self-merge, where b is the buffer's own first n samples.
+	b := o.samples
+	s := slices.Grow(r.samples, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && s[i] > b[j] {
+			s[k], i = s[i], i-1
+		} else {
+			s[k], j = b[j], j-1
+		}
+	}
+	r.samples = s
 }
 
 // Reserve grows the raw-mode sample buffer to hold n more samples without
@@ -127,11 +146,13 @@ func (r *Recorder) Total() time.Duration {
 	return r.sum
 }
 
-func (r *Recorder) ensureSorted() {
-	if r.sorted {
+// Sort orders the raw samples now, not at the first query, so that merges
+// with other sorted recorders run in linear time. No-op in streaming mode.
+func (r *Recorder) Sort() {
+	if r.sorted || r.hist != nil {
 		return
 	}
-	sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+	slices.Sort(r.samples)
 	r.sorted = true
 }
 
@@ -152,7 +173,7 @@ func (r *Recorder) Percentile(q float64) time.Duration {
 	if q > 100 {
 		q = 100
 	}
-	r.ensureSorted()
+	r.Sort()
 	if len(r.samples) == 1 {
 		return r.samples[0]
 	}
@@ -174,7 +195,7 @@ func (r *Recorder) Max() time.Duration {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	r.ensureSorted()
+	r.Sort()
 	return r.samples[len(r.samples)-1]
 }
 
@@ -186,7 +207,7 @@ func (r *Recorder) Min() time.Duration {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	r.ensureSorted()
+	r.Sort()
 	return r.samples[0]
 }
 
@@ -201,7 +222,7 @@ func (r *Recorder) CountAbove(d time.Duration) int64 {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	r.ensureSorted()
+	r.Sort()
 	idx := sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > d })
 	return int64(len(r.samples) - idx)
 }
@@ -219,7 +240,7 @@ func (r *Recorder) ViolationRatio(slo time.Duration) float64 {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	r.ensureSorted()
+	r.Sort()
 	// First index with sample > slo.
 	idx := sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > slo })
 	return float64(len(r.samples)-idx) / float64(len(r.samples))

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -236,5 +237,85 @@ func TestSummaryStringContainsName(t *testing.T) {
 	s := r.Summarize().String()
 	if !strings.Contains(s, "Hermes+anon") {
 		t.Fatalf("summary string %q lacks series name", s)
+	}
+}
+
+// TestRawMergeMatchesSortOracle folds seeded random sample sets into one
+// raw recorder — each side sorted or not, empty sides, self-merges — and
+// after every merge checks each query against an append-then-sort oracle.
+// A merge of two sorted sides must leave the recorder sorted, so that the
+// cluster's leaf-sorted finalization never sorts the same samples twice.
+func TestRawMergeMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 0))
+	fill := func(name string) *Recorder {
+		r := NewRecorder(name)
+		n := rng.IntN(40)
+		if rng.IntN(4) == 0 {
+			n = 0
+		}
+		for range n {
+			r.Record(time.Duration(rng.IntN(25))) // small range: many ties
+		}
+		if rng.IntN(2) == 0 {
+			r.Sort()
+		}
+		return r
+	}
+	for trial := range 200 {
+		r := fill("r")
+		oracle := slices.Clone(r.samples)
+		for step := range 6 {
+			o := r
+			if rng.IntN(5) != 0 {
+				o = fill("o")
+			} else if rng.IntN(2) == 0 {
+				// Room to grow in place: the self-merge reads and writes
+				// one buffer.
+				r.Reserve(len(r.samples))
+			}
+			bothSorted := r.sorted && o.sorted && len(o.samples) > 0
+			oracle = append(oracle, o.samples...)
+			r.Merge(o)
+			slices.Sort(oracle)
+			if bothSorted && !r.sorted {
+				t.Fatalf("trial %d step %d: sorted+sorted merge left the recorder unsorted", trial, step)
+			}
+			if r.sorted && !slices.IsSorted(r.samples) {
+				t.Fatalf("trial %d step %d: recorder marked sorted holds %v", trial, step, r.samples)
+			}
+			want := NewRecorder("r")
+			for _, d := range oracle {
+				want.Record(d)
+			}
+			checkSameQueries(t, r, want)
+			if !slices.Equal(r.samples, oracle) {
+				t.Fatalf("trial %d step %d: samples %v, oracle %v", trial, step, r.samples, oracle)
+			}
+			if rng.IntN(3) == 0 {
+				// Leave the next merge an unsorted receiver.
+				r.Record(time.Duration(rng.IntN(25)))
+				oracle = append(oracle, r.samples[len(r.samples)-1])
+			}
+		}
+	}
+}
+
+// checkSameQueries fails t unless every exported query answers the same on
+// got and want.
+func checkSameQueries(t *testing.T, got, want *Recorder) {
+	t.Helper()
+	if got.Summarize() != want.Summarize() {
+		t.Fatalf("Summarize = %+v, want %+v", got.Summarize(), want.Summarize())
+	}
+	if !slices.Equal(got.CDF(7), want.CDF(7)) || !slices.Equal(got.TailCDF(0.9, 5), want.TailCDF(0.9, 5)) {
+		t.Fatal("CDF/TailCDF differ from the oracle")
+	}
+	for _, d := range []time.Duration{0, 3, 12, 24, 30} {
+		if got.CountAbove(d) != want.CountAbove(d) || got.ViolationRatio(d) != want.ViolationRatio(d) {
+			t.Fatalf("CountAbove/ViolationRatio(%v) differ from the oracle", d)
+		}
+	}
+	if got.Min() != want.Min() || got.Max() != want.Max() || got.Total() != want.Total() {
+		t.Fatal("Min/Max/Total differ from the oracle")
 	}
 }
