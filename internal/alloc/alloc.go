@@ -96,7 +96,17 @@ const (
 // until the object is reused).
 type BlockPool struct {
 	free []*Block
+	// slab holds fresh Blocks not yet handed out. Slabs start small and
+	// double up to maxBlockSlab, so a lightly used allocator carves little
+	// and a busy one makes one heap allocation per maxBlockSlab mallocs.
+	slab     []Block
+	slabSize int
 }
+
+// maxBlockSlab caps a slab at 64 Blocks (4.5 KiB): past that, fewer heap
+// allocations save little, while every allocator's last slab strands its
+// unused tail.
+const maxBlockSlab = 64
 
 // Get returns a Block for reuse. The Block's contents are unspecified —
 // the caller must fully assign it (`*b = Block{...}`) before handing it
@@ -109,7 +119,13 @@ func (p *BlockPool) Get() *Block {
 		p.free = p.free[:n-1]
 		return b
 	}
-	return &Block{}
+	if len(p.slab) == 0 {
+		p.slabSize = min(max(2*p.slabSize, 4), maxBlockSlab)
+		p.slab = make([]Block, p.slabSize)
+	}
+	b := &p.slab[0]
+	p.slab = p.slab[1:]
+	return b
 }
 
 // Put parks a freed Block for reuse. Callers must not touch the Block

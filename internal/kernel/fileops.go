@@ -33,12 +33,17 @@ func (k *Kernel) CreateFile(name string, sizePages int64, owner PID) *File {
 func (k *Kernel) File(name string) *File { return k.files[name] }
 
 // Files returns all live files; order is unspecified.
-func (k *Kernel) Files() []*File {
-	out := make([]*File, 0, len(k.files))
+func (k *Kernel) Files() []*File { return k.AppendFiles(nil) }
+
+// AppendFiles appends all live files to dst, in unspecified order, and
+// returns the extended slice; callers that scan the file table every tick
+// pass a reused buffer.
+func (k *Kernel) AppendFiles(dst []*File) []*File {
+	dst = slices.Grow(dst, len(k.files))
 	for _, f := range k.files {
-		out = append(out, f)
+		dst = append(dst, f)
 	}
-	return out
+	return dst
 }
 
 // FilesOwnedBy returns the files tagged with the given owner PID, sorted by

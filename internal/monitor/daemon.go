@@ -57,6 +57,7 @@ type Daemon struct {
 	registry *Registry
 	task     *simtime.PeriodicTask
 	stats    Stats
+	files    []*kernel.File // batchFilesLargestFirst's buffer, reused across ticks
 }
 
 // NewDaemon starts the daemon on the node's scheduler. Stop releases it.
@@ -120,14 +121,16 @@ func (d *Daemon) tick(now simtime.Time) simtime.Duration {
 
 // batchFilesLargestFirst collects the registered batch jobs' files sorted
 // by cached size descending: releasing the largest file first makes a large
-// chunk of memory available at once and minimises advise calls (§3.3).
+// chunk of memory available at once and minimises advise calls (§3.3). It
+// scans the live file table once rather than querying each registered PID,
+// most of which are dead jobs with no files left. The returned slice is the
+// daemon's buffer and is valid until the next call.
 func (d *Daemon) batchFilesLargestFirst() []*kernel.File {
-	var files []*kernel.File
-	for pid := range d.registry.batch {
-		files = append(files, d.k.FilesOwnedBy(pid)...)
-	}
+	files := d.k.AppendFiles(d.files[:0])
+	files = slices.DeleteFunc(files, func(f *kernel.File) bool { return !d.registry.IsBatch(f.Owner()) })
 	slices.SortFunc(files, func(a, b *kernel.File) int {
 		return cmp.Or(cmp.Compare(b.CachedPages(), a.CachedPages()), strings.Compare(a.Name, b.Name))
 	})
+	d.files = files
 	return files
 }

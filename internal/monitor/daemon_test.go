@@ -1,6 +1,11 @@
 package monitor
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
@@ -219,4 +224,68 @@ func TestDaemonStopPoint(t *testing.T) {
 		t.Fatalf("stats %+v, want 3 advise calls releasing %d pages", st, wantPages)
 	}
 	k.CheckInvariants()
+}
+
+// perPIDBatchFiles is the daemon's former file query, kept as the oracle:
+// each registered batch PID's files, concatenated and sorted by cached size
+// descending, then name.
+func perPIDBatchFiles(k *kernel.Kernel, reg *Registry) []*kernel.File {
+	var files []*kernel.File
+	for _, pid := range reg.BatchPIDs() {
+		files = append(files, k.FilesOwnedBy(pid)...)
+	}
+	slices.SortFunc(files, func(a, b *kernel.File) int {
+		return cmp.Or(cmp.Compare(b.CachedPages(), a.CachedPages()), strings.Compare(a.Name, b.Name))
+	})
+	return files
+}
+
+// TestDaemonOrderMatchesPerPIDOracle checks the single file-table scan
+// against the per-PID query through random file churn: dead registered
+// PIDs (some still owning files), non-batch owners, and cached sizes drawn
+// from a few values so the name tie-break decides the order. It also pins
+// that a scan after the first allocates nothing, however many PIDs are
+// registered.
+func TestDaemonOrderMatchesPerPIDOracle(t *testing.T) {
+	k, s := newTestNode(t)
+	reg := NewRegistry()
+	d := NewDaemon(k, reg, DefaultConfig())
+	defer d.Stop()
+	rng := rand.New(rand.NewPCG(5, 0))
+
+	var owners []kernel.PID
+	for i := 0; i < 300; i++ {
+		p := k.CreateProcess("batch")
+		reg.AddBatch(p.PID)
+		owners = append(owners, p.PID)
+		if i%3 != 0 {
+			k.ExitProcess(p)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		owners = append(owners, k.CreateProcess("svc").PID) // never registered
+	}
+	for step := 0; step < 400; step++ {
+		live := k.Files()
+		switch {
+		case len(live) > 0 && rng.IntN(4) == 0:
+			k.DeleteFile(live[rng.IntN(len(live))])
+		case len(live) > 0 && rng.IntN(3) == 0:
+			f := live[rng.IntN(len(live))]
+			k.ReadFile(s.Now(), f, int64(1+rng.IntN(4))*8)
+		default:
+			name := fmt.Sprintf("f%03d", rng.IntN(500))
+			if k.File(name) == nil {
+				f := k.CreateFile(name, 64, owners[rng.IntN(len(owners))])
+				k.ReadFile(s.Now(), f, int64(rng.IntN(4))*8)
+			}
+		}
+		got, want := d.batchFilesLargestFirst(), perPIDBatchFiles(k, reg)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: daemon order differs from the per-PID oracle (%d vs %d files)", step, len(got), len(want))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { d.batchFilesLargestFirst() }); allocs != 0 {
+		t.Fatalf("scan with %d registered PIDs allocated %.0f times, want 0", len(reg.batch), allocs)
+	}
 }

@@ -9,7 +9,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -59,45 +58,73 @@ type Event struct {
 	seq uint64
 	fn  func(*Scheduler)
 
-	// index is maintained by the heap; -1 once popped or cancelled.
+	// index is the event's heap slot; -1 once popped or cancelled.
 	index int
 }
 
 // At returns the instant the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
+// eventQueue is a binary min-heap of events ordered by (at, seq). Since seq
+// is unique, that order is total and the pop sequence is fully determined.
+// Each event's index tracks its slot so Cancel can remove it in O(log n).
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
+// push adds e to the heap.
+func (q *eventQueue) push(e *Event) {
 	*q = append(*q, e)
+	q.place(len(*q)-1, e)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+// remove takes the event in slot i out of the heap; the last event fills
+// the hole.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	e, last := h[i], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		q.place(i, last)
+	}
 	e.index = -1
-	*q = old[:n-1]
 	return e
+}
+
+// place moves the hole at slot i up or down to where e belongs and puts e
+// there. Events shifted past the hole keep their index current.
+func (q *eventQueue) place(i int, e *Event) {
+	h := *q
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
 }
 
 // Scheduler owns the virtual clock and the pending-event queue. It is not
@@ -143,7 +170,7 @@ func (s *Scheduler) Schedule(at Time, fn func(*Scheduler)) *Event {
 	} else {
 		e = &Event{at: at, seq: s.seq, fn: fn}
 	}
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -173,7 +200,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&s.queue, e.index)
+	s.queue.remove(e.index)
 	s.release(e)
 }
 
@@ -195,7 +222,7 @@ func (s *Scheduler) PeekNext() (Time, bool) {
 // pattern) reuses the same hot object. Callers must have checked the queue
 // is non-empty and set s.firing.
 func (s *Scheduler) fireNext() {
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue.remove(0)
 	s.now = e.at
 	fn := e.fn
 	s.release(e)

@@ -1,6 +1,9 @@
 package simtime
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +272,90 @@ func TestDrainMatchesRunUntilOrdering(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("RunUntil order %v != Drain order %v", a, b)
+		}
+	}
+}
+
+// TestEventQueueMatchesSortedOracle drives the scheduler through seeded
+// random interleavings of Schedule, Cancel (of any pending event, also from
+// inside callbacks), RunUntil and Drain, and checks every step against a
+// sorted slice of the pending events: each firing must be the oracle's
+// least (at, seq) entry, and Pending/PeekNext must agree with it.
+func TestEventQueueMatchesSortedOracle(t *testing.T) {
+	type entry struct {
+		at      Time
+		seq, id int
+	}
+	for seed := range uint64(40) {
+		rng := rand.New(rand.NewPCG(seed, 3))
+		s := NewScheduler()
+		var oracle []entry // pending events, sorted by (at, seq)
+		events := map[int]*Event{}
+		seq := 0
+		check := func(where string) {
+			t.Helper()
+			if s.Pending() != len(oracle) {
+				t.Fatalf("seed %d %s: Pending %d, oracle %d", seed, where, s.Pending(), len(oracle))
+			}
+			at, ok := s.PeekNext()
+			if ok != (len(oracle) > 0) || ok && at != oracle[0].at {
+				t.Fatalf("seed %d %s: PeekNext (%v, %v), oracle %v", seed, where, at, ok, oracle)
+			}
+		}
+		cancelRandom := func() {
+			if len(oracle) == 0 {
+				return
+			}
+			i := rng.IntN(len(oracle))
+			id := oracle[i].id
+			s.Cancel(events[id])
+			delete(events, id)
+			oracle = slices.Delete(oracle, i, i+1)
+		}
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			seq++
+			id := seq
+			events[id] = s.Schedule(at, func(s *Scheduler) {
+				if len(oracle) == 0 || oracle[0].id != id || s.Now() != oracle[0].at {
+					t.Fatalf("seed %d: fired event %d at %v, oracle head %v", seed, id, s.Now(), oracle)
+				}
+				oracle = oracle[1:]
+				delete(events, id)
+				check("in callback")
+				switch rng.IntN(5) {
+				case 0:
+					schedule(s.Now() + Time(rng.IntN(8)))
+				case 1:
+					cancelRandom()
+				}
+			})
+			e := entry{at, seq, id}
+			i, _ := slices.BinarySearchFunc(oracle, e, func(a, b entry) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+			})
+			oracle = slices.Insert(oracle, i, e)
+		}
+		for step := range 300 {
+			switch op := rng.IntN(10); {
+			case op < 5:
+				schedule(s.Now() + Time(rng.IntN(20)))
+			case op < 7:
+				cancelRandom()
+			case op < 9:
+				horizon := s.Now() + Time(rng.IntN(15))
+				s.RunUntil(horizon)
+				if len(oracle) > 0 && oracle[0].at <= horizon {
+					t.Fatalf("seed %d step %d: RunUntil(%v) left %v pending", seed, step, horizon, oracle[0])
+				}
+			default:
+				limit := rng.IntN(4) // 0: no limit
+				fired := s.Drain(limit)
+				if limit > 0 && fired > limit || len(oracle) > 0 && (limit == 0 || fired < limit) {
+					t.Fatalf("seed %d step %d: Drain(%d) fired %d, %d still pending", seed, step, limit, fired, len(oracle))
+				}
+			}
+			check("after step")
 		}
 	}
 }

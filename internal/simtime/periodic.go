@@ -13,6 +13,7 @@ type PeriodicTask struct {
 	sched   *Scheduler
 	period  Duration
 	tick    func(now Time) Duration
+	fire    func(*Scheduler) // p.run, bound once so re-arming allocates nothing
 	event   *Event
 	stopped bool
 
@@ -34,7 +35,8 @@ func NewPeriodicTask(s *Scheduler, period Duration, tick func(now Time) Duration
 		panic("simtime: nil periodic task callback")
 	}
 	p := &PeriodicTask{sched: s, period: period, tick: tick}
-	p.event = s.ScheduleAfter(period, p.run)
+	p.fire = p.run
+	p.event = s.ScheduleAfter(period, p.fire)
 	return p
 }
 
@@ -60,7 +62,7 @@ func (p *PeriodicTask) run(s *Scheduler) {
 	if end := start.Add(busy); next < end {
 		next = end
 	}
-	p.event = s.Schedule(next, p.run)
+	p.event = s.Schedule(next, p.fire)
 }
 
 // Stop cancels the task. Safe to call multiple times.

@@ -72,3 +72,28 @@ func TestPeriodicTaskAccounting(t *testing.T) {
 		t.Fatalf("utilization = %v, want ~0.07", util)
 	}
 }
+
+func TestPeriodicRearmAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	p := NewPeriodicTask(s, 10, func(Time) Duration { return 1 })
+	defer p.Stop()
+	s.Advance(100)
+	before := p.Ticks
+	allocs := testing.AllocsPerRun(3, func() { s.Advance(1000 * 10) })
+	if got := p.Ticks - before; got != 4*1000 { // AllocsPerRun adds a warm-up run
+		t.Fatalf("ran %d ticks, want 4000", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("1000 periodic ticks allocated %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkPeriodicRearm(b *testing.B) {
+	s := NewScheduler()
+	p := NewPeriodicTask(s, 10, func(Time) Duration { return 0 })
+	defer p.Stop()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Advance(10)
+	}
+}

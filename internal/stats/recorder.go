@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -152,8 +153,66 @@ func (r *Recorder) Sort() {
 	if r.sorted || r.hist != nil {
 		return
 	}
-	slices.Sort(r.samples)
+	radixSort(r.samples)
 	r.sorted = true
+}
+
+// radixCutoff is the run length below which radixSort hands over to
+// slices.Sort: a 256-way byte pass costs more than it saves on short runs.
+const radixCutoff = 256
+
+// radixSort sorts non-negative samples in place with an MSD byte radix sort
+// (American flag): it permutes the run into 256 buckets on its highest
+// non-constant byte, then sorts each bucket the same way. It allocates
+// nothing. An integer sort has exactly one output, so the result equals
+// slices.Sort's.
+func radixSort(a []time.Duration) {
+	if len(a) < radixCutoff {
+		slices.Sort(a)
+		return
+	}
+	var or, and uint64 = 0, math.MaxUint64
+	for _, v := range a {
+		or |= uint64(v)
+		and &= uint64(v)
+	}
+	diff := or ^ and // the bits that are not the same in every sample
+	if diff == 0 {
+		return
+	}
+	shift := uint(63-bits.LeadingZeros64(diff)) &^ 7
+	digit := func(v time.Duration) int { return int(uint64(v) >> shift & 0xff) }
+
+	var next, end [256]int
+	for _, v := range a {
+		end[digit(v)]++
+	}
+	sum := 0
+	for d, c := range end {
+		next[d] = sum
+		sum += c
+		end[d] = sum
+	}
+	// Cycle each misplaced sample to the next free slot of its bucket.
+	for d := range next {
+		for next[d] < end[d] {
+			v := a[next[d]]
+			for vd := digit(v); vd != d; vd = digit(v) {
+				a[next[vd]], v = v, a[next[vd]]
+				next[vd]++
+			}
+			a[next[d]] = v
+			next[d]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := 0
+	for _, e := range end {
+		radixSort(a[start:e])
+		start = e
+	}
 }
 
 // Percentile returns the q-th percentile (q in [0,100]). Raw mode uses

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -317,5 +319,98 @@ func checkSameQueries(t *testing.T, got, want *Recorder) {
 	}
 	if got.Min() != want.Min() || got.Max() != want.Max() || got.Total() != want.Total() {
 		t.Fatal("Min/Max/Total differ from the oracle")
+	}
+}
+
+// TestRadixSortMatchesSlicesSort pins Recorder.Sort's radix sort to
+// slices.Sort on the inputs where an MSD byte sort can go wrong: runs shorter
+// than, at and around multiples of the hand-over cutoff, constant runs (no
+// byte to split on), samples whose high bytes are set or constant, and the
+// sorted, reversed and heavy-tailed shapes latency recorders hold.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 0))
+	fill := func(n int, draw func(i int) time.Duration) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = draw(i)
+		}
+		return out
+	}
+	uniform := func(lo, hi int64) func(int) time.Duration {
+		return func(int) time.Duration { return time.Duration(lo + rng.Int64N(hi-lo)) }
+	}
+	inputs := map[string][]time.Duration{
+		"empty":     {},
+		"one":       {42},
+		"equal":     fill(1000, func(int) time.Duration { return 7 }),
+		"zeros":     fill(700, func(int) time.Duration { return 0 }),
+		"high":      fill(3000, uniform(1<<56, math.MaxInt64)),
+		"maxint":    fill(2000, func(i int) time.Duration { return []time.Duration{0, 1, math.MaxInt64}[i%3] }),
+		"lowbyte":   fill(2000, uniform(1<<40, 1<<40+300)), // constant high bytes
+		"sparse":    fill(4000, func(int) time.Duration { return time.Duration(rng.IntN(4)) << 48 }),
+		"sorted":    fill(5000, func(i int) time.Duration { return time.Duration(i * 37) }),
+		"reversed":  fill(5000, func(i int) time.Duration { return time.Duration((5000 - i) * 1013) }),
+		"heavytail": zipfLatencies(50_000, 3),
+	}
+	for _, n := range []int{1, 255, 256, 257, 511, 512, 513, 767, 768, 769, 1024, 65_536} {
+		inputs[fmt.Sprintf("n=%d", n)] = fill(n, uniform(0, 1<<20))
+		inputs[fmt.Sprintf("n=%d/ties", n)] = fill(n, uniform(0, 300))
+	}
+	for name, in := range inputs {
+		oracle := slices.Clone(in)
+		slices.Sort(oracle)
+		got, want := NewRecorder(name), NewRecorder(name)
+		for _, d := range in {
+			got.Record(d)
+			want.Record(d)
+		}
+		got.Sort()
+		if !slices.Equal(got.samples, oracle) {
+			t.Fatalf("%s: radix sort differs from slices.Sort", name)
+		}
+		want.samples, want.sorted = oracle, true
+		checkSameQueries(t, got, want)
+		for range 20 {
+			if len(in) == 0 {
+				break
+			}
+			d := in[rng.IntN(len(in))]
+			if got.CountAbove(d) != want.CountAbove(d) || got.CountAbove(d-1) != want.CountAbove(d-1) {
+				t.Fatalf("%s: CountAbove(%v) differs from the oracle", name, d)
+			}
+		}
+	}
+}
+
+func TestRecorderSortAllocatesNothing(t *testing.T) {
+	src := zipfLatencies(100_000, 11)
+	r := NewRecorder("sort")
+	for _, d := range src {
+		r.Record(d)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		copy(r.samples, src)
+		r.sorted = false
+		r.Sort()
+	})
+	if allocs != 0 {
+		t.Fatalf("Sort of %d samples allocated %.0f times, want 0", len(src), allocs)
+	}
+}
+
+func BenchmarkRecorderSortRaw(b *testing.B) {
+	src := zipfLatencies(100_000, 11)
+	r := NewRecorder("bench")
+	for _, d := range src {
+		r.Record(d)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(r.samples, src)
+		r.sorted = false
+		b.StartTimer()
+		r.Sort()
 	}
 }
