@@ -52,13 +52,13 @@ func BenchmarkClusterSequentialRaw(b *testing.B) {
 }
 
 // BenchmarkClusterParallelRaw isolates the parallel engine's contribution:
-// partitioned per-node execution, still exact raw digests.
+// per-node chunked execution, still exact raw digests.
 func BenchmarkClusterParallelRaw(b *testing.B) {
 	runClusterBench(b, false, hermes.StatsRaw)
 }
 
-// BenchmarkClusterParallelHistogram is the overhauled default: partitioned
-// per-node execution with bounded-memory streaming histograms.
+// BenchmarkClusterParallelHistogram is the overhauled default: per-node
+// chunked execution with bounded-memory streaming histograms.
 func BenchmarkClusterParallelHistogram(b *testing.B) {
 	runClusterBench(b, false, hermes.StatsHistogram)
 }

@@ -100,9 +100,10 @@ type Config struct {
 	Seed uint64
 	// Sequential forces Run onto the single-goroutine engine that executes
 	// requests in global arrival order — the escape hatch for debugging and
-	// for streaming the load with O(1) workload memory. The default parallel
-	// engine partitions the stream per node and produces a bit-identical
-	// Report (nodes are causally independent after routing).
+	// for the oracle the parallel engine is pinned against. The default
+	// parallel engine streams per-node chunks of the routed load and
+	// produces a bit-identical Report (nodes are causally independent
+	// after routing).
 	Sequential bool
 	// Stats selects the latency-digest backend; empty means StatsRaw.
 	Stats StatsMode
@@ -960,9 +961,10 @@ func (c *Cluster) sortLeaves(sortNode func(ni int)) {
 // seeded per-node stream — so one (config, load) pair reproduces the run
 // exactly, on either engine.
 //
-// By default Run uses the parallel engine: the request stream is
-// partitioned per node up front (routing is deterministic) and every node
-// executes its sub-stream on its own goroutine. Nodes are causally
+// By default Run uses the parallel engine: the request stream is routed
+// to per-node chunks (routing is deterministic) and every node executes
+// its sub-stream in arrival order — on its own goroutine on more than one
+// core, inline in the generating goroutine on one. Nodes are causally
 // independent after routing — a request only ever touches its own node's
 // scheduler, kernel, RNG and shards — so the per-node results are
 // identical to the sequential engine's and the merged Report is

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
 )
@@ -160,36 +161,65 @@ func TestHistogramModeMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestParallelSingleCoreMatchesSequential pins the GOMAXPROCS-adaptive
-// dispatch in the scenario engine. At GOMAXPROCS=1 the parallel engine
-// skips the chunk pipeline and takes the full-partition path — and, for
-// flat loads with no timeline, the bare-Request specialization under it.
-// The rest of the suite runs at the host's GOMAXPROCS (≥2 in CI), which
-// only exercises the pipeline, so this test is the coverage those
-// single-core paths get. Both must reproduce the sequential report bit
-// for bit, which is exactly what makes the dispatch result-neutral.
+// inlineChunk is the per-node chunk capacity of the single-core engine on
+// a fleet of the given size.
+func inlineChunk(nodes int) int {
+	return max(inlineChunkTotal/nodes, scenarioChunkReqs)
+}
+
+// TestParallelSingleCoreMatchesSequential pins the parallel engine's
+// single-core mode. At GOMAXPROCS=1 it starts no goroutines: the generating
+// goroutine serves each node's chunk inline the moment it fills, and the
+// partial chunks after generation ends. The rest of the suite runs at the
+// host's GOMAXPROCS (≥2 in CI), which exercises the channel pipeline, so
+// this test — with CI's one-core run of the identity suite — is the
+// coverage the inline path gets: a flat load that fills and flushes the
+// hottest node's chunk several times, a load smaller than one chunk (only
+// the final flush serves), a multi-phase scenario with a live timeline,
+// and a resilience drill with a kill and restore. Each must reproduce the
+// sequential report bit for bit.
 func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	t.Run("flat", func(t *testing.T) {
-		// Flat load, no events: RunScenario → partitioned → flat-load
-		// specialization.
+	flat := func(t *testing.T, requests int64) Report {
+		t.Helper()
 		cfg := testClusterConfig(AllocHermes)
+		load := testLoad()
+		load.Requests = requests
 		cfg.Sequential = true
 		cs := New(cfg)
 		defer cs.Close()
-		seq := cs.Run(testLoad())
+		seq := cs.Run(load)
 		cfg.Sequential = false
 		cp := New(cfg)
 		defer cp.Close()
-		par := cp.Run(testLoad())
+		par := cp.Run(load)
 		reportsEqual(t, seq, par)
+		return par
+	}
+
+	t.Run("flat", func(t *testing.T) {
+		rep := flat(t, 300_000)
+		chunk := inlineChunk(len(rep.PerNode))
+		hottest := 0
+		for _, nr := range rep.PerNode {
+			hottest = max(hottest, nr.Latency.Count)
+		}
+		if hottest < 3*chunk {
+			t.Fatalf("hottest node served %d requests: fewer than three %d-request chunks", hottest, chunk)
+		}
+	})
+
+	t.Run("under-one-chunk", func(t *testing.T) {
+		rep := flat(t, 2_000)
+		if chunk := inlineChunk(len(rep.PerNode)); rep.Requests >= int64(chunk) {
+			t.Fatalf("load of %d requests fills a %d-request chunk", rep.Requests, chunk)
+		}
 	})
 
 	t.Run("scenario", func(t *testing.T) {
-		// Multi-phase scenario with a live timeline: RunScenario →
-		// partitioned path proper.
+		// Multi-phase scenario with a live timeline.
 		cfg, scn := eventScenario()
 		cfg.Sequential = true
 		seq := runScenario(t, cfg, scn)
@@ -199,4 +229,59 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 			t.Fatalf("single-core parallel scenario diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 		}
 	})
+
+	t.Run("resilience-topology", func(t *testing.T) {
+		// The brownout drill with a drain kill and a restore of its
+		// target: retries, hedges, failover and migration all cross
+		// chunk boundaries between nodes.
+		cfg := drillConfig(ServiceRedis, AllocGlibc)
+		target := primaryHeavyNode(cfg)
+		scn := brownoutScenario(target)
+		scn.Events = append(scn.Events,
+			workload.Event{At: 60 * simtime.Millisecond, Node: target, Kind: workload.EventKillNode, Policy: workload.KillDrain},
+			workload.Event{At: 100 * simtime.Millisecond, Node: target, Kind: workload.EventRestoreNode},
+		)
+		par := runScenario(t, cfg, scn)
+		cfg.Sequential = true
+		seq := runScenario(t, cfg, scn)
+		if !reflect.DeepEqual(par, seq) {
+			t.Fatalf("single-core resilience+topology run diverged from sequential:\npar: %+v\nseq: %+v", par, seq)
+		}
+		if par.Failovers == 0 || par.MigratedBytes == 0 || par.Retries == 0 || par.Hedges == 0 {
+			t.Errorf("drill did not exercise its paths: failovers=%d migrated=%d retries=%d hedges=%d",
+				par.Failovers, par.MigratedBytes, par.Retries, par.Hedges)
+		}
+	})
+}
+
+// TestSingleCoreRunMemoryBounded pins the single-core engine's footprint:
+// the requests in flight are held in per-node chunks of fixed capacity,
+// never in a whole-run partition, so what Cluster.Run allocates must not
+// grow with the request count. Histogram digests keep the recorders
+// bounded too (TestHistogramModeMemoryBounded), so 4× the requests may
+// allocate only a small constant more.
+func TestSingleCoreRunMemoryBounded(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+
+	allocated := func(requests int64) uint64 {
+		cfg := testClusterConfig(AllocGlibc)
+		cfg.Stats = StatsHistogram
+		c := New(cfg)
+		defer c.Close()
+		load := testLoad()
+		load.Requests = requests
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Run(load)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 2 << 20
+	small, large := allocated(50_000), allocated(200_000)
+	t.Logf("Cluster.Run allocated %d B at 50k requests, %d B at 200k", small, large)
+	if large > small+slack {
+		t.Fatalf("Cluster.Run allocation grew with the request count: %d B at 50k, %d B at 200k (slack %d B)",
+			small, large, slack)
+	}
 }

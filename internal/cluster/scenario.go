@@ -529,7 +529,7 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 // the phase- and class-segmented digests. Generation, routing, event firing
 // and every random draw are deterministic, so one (config, scenario) pair
 // reproduces the run exactly — on either engine (Config.Sequential selects
-// the single-goroutine one; the default partitions the stream per node).
+// the single-goroutine one; the default streams per-node chunks).
 // The scenario is validated up front; nothing panics mid-run on a
 // malformed spec.
 func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
@@ -557,9 +557,10 @@ func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
 // LoadDriver — the identical stream without the merge layer, so the
 // adapter costs the seed path nothing; a topology schedule disables the
 // bypass because routing then depends on the arrival instant. Both engines
-// share this: only the emit sink differs (serve now vs. partition for
-// later). Requests whose whole replica chain is down never reach emit —
-// they are counted against the primary and dropped here, at routing.
+// share this: only the emit sink differs (serve now vs. append to the
+// serving node's chunk). Requests whose whole replica chain is down never
+// reach emit — they are counted against the primary and dropped here, at
+// routing.
 func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
 	if flat, ok := scn.FlatLoad(); ok && sr.topo == nil && sr.res == nil {
@@ -629,7 +630,7 @@ func (c *Cluster) runScenarioSequential(scn workload.Scenario, topo *topology, r
 
 // routedScenarioReq is one scenario request bound to its shard, the
 // replica-chain instance serving it, its segmentation cell, and its
-// resilience metadata — the unit of the per-node partition.
+// resilience metadata — the unit of a per-node chunk.
 type routedScenarioReq struct {
 	req   workload.Request
 	shard int32
@@ -640,10 +641,17 @@ type routedScenarioReq struct {
 
 const (
 	// scenarioChunkReqs is the pipeline transfer unit of the parallel
-	// engine: requests per chunk. Large enough that channel operations
-	// amortize to noise, small enough that a chunk is still cache-warm from
-	// generation when its node serves it.
+	// engine on more than one core: requests per chunk. Large enough that
+	// channel operations amortize to noise, small enough that a chunk is
+	// still cache-warm from generation when its node serves it. It is also
+	// the floor of the single-core chunk.
 	scenarioChunkReqs = 512
+	// inlineChunkTotal is the single-core chunk budget, split evenly across
+	// the nodes: on one core a full chunk is served inline by the
+	// generating goroutine, so each node serves long contiguous runs and
+	// keeps its working set hot between runs, while the engine's memory
+	// stays O(nodes), not O(requests).
+	inlineChunkTotal = 1 << 17
 	// scenarioChunkDepth is the per-node channel depth: how far generation
 	// may run ahead of a node before it blocks on that node's backpressure.
 	scenarioChunkDepth = 4
@@ -655,60 +663,62 @@ const (
 	admitWindow = 8
 )
 
-// scenarioChunk is one pipeline buffer: a fixed-size block of routed
-// requests. Fixed blocks replace the old whole-run per-node partition
-// slices, whose append-regrowth memmoves and O(requests) footprint
-// serialized the run on the generation side.
-type scenarioChunk struct {
-	n    int
-	reqs [scenarioChunkReqs]routedScenarioReq
-}
-
 // runScenarioParallel streams the generated request stream to the serving
-// nodes through bounded per-node chunk pipelines: generation (one
-// goroutine, the deterministic global-order walk) overlaps with per-node
-// serving instead of completing before any request is served — the
-// single biggest serializer on multi-core runs. Routing partitions by the
-// SERVING node: failover hands the request to the replica's goroutine,
-// preserving arrival order within every node — which is all a node can
-// observe — so each node consumes the identical sub-stream in the identical
-// order as the old materialize-then-serve engine, and the report stays
-// bit-identical to the sequential engine's. Chunk handoff over a channel
-// also gives the happens-before edge that makes generation-side state
-// (e.g. migration manifests filled by diverted writes) visible to the
-// serving goroutine, exactly as the old full-partition barrier did.
+// nodes in per-node chunks: generation (one goroutine, the deterministic
+// global-order walk) routes each request by its SERVING node — failover
+// hands it to the replica's chunk — so every node consumes its own
+// sub-stream in arrival order, which is all a node can observe, and the
+// report stays bit-identical to the sequential engine's. Memory is
+// O(nodes × chunk), never O(requests).
+//
+// How a full chunk reaches its node depends on the core count. On more
+// than one core each node has a goroutine fed through a bounded channel of
+// recycled 512-request chunks, so generation overlaps serving; the channel
+// send is the happens-before edge that makes generation-side state (e.g.
+// migration manifests filled by diverted writes) visible to the serving
+// goroutine. On one core there is nothing to overlap, and a fine cadence of
+// channel handoffs interleaves generation with serving so closely that
+// each side evicts the other's working set; instead the generating
+// goroutine serves each node's large chunk inline the moment it fills,
+// then reuses it. Either way a chunk is served only after generation has
+// passed every instant in it, so the manifest completeness argument holds.
 func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
-	if runtime.GOMAXPROCS(0) == 1 {
-		// On one core the pipeline cannot overlap anything; what decides the
-		// wall clock is cache locality, and the partitioned path — each
-		// node's whole sub-stream served contiguously — keeps one node's
-		// working set hot instead of cycling every node's through the cache
-		// chunk by chunk. Both paths produce the identical report.
-		return c.runScenarioPartitioned(scn, topo, res)
-	}
 	sr := c.newScenarioRun(scn, topo, res)
 	type nodePipe struct {
-		ch   chan *scenarioChunk
-		free chan *scenarioChunk
-		cur  *scenarioChunk
+		ch   chan []routedScenarioReq
+		free chan []routedScenarioReq
+		cur  []routedScenarioReq
 	}
 	pipes := make([]nodePipe, len(c.nodes))
+	inline := runtime.GOMAXPROCS(0) == 1
+	chunkReqs := scenarioChunkReqs
+	flush := func(p *nodePipe) {
+		p.ch <- p.cur
+		p.cur = nil
+	}
 	var wg sync.WaitGroup
-	for i := range pipes {
-		pipes[i].ch = make(chan *scenarioChunk, scenarioChunkDepth)
-		pipes[i].free = make(chan *scenarioChunk, scenarioChunkDepth+2)
-		for j := 0; j < scenarioChunkDepth+2; j++ {
-			pipes[i].free <- new(scenarioChunk)
+	if inline {
+		chunkReqs = max(inlineChunkTotal/len(c.nodes), scenarioChunkReqs)
+		flush = func(p *nodePipe) {
+			c.serveChunk(sr, p.cur)
+			p.cur = p.cur[:0]
 		}
-		wg.Add(1)
-		go func(p *nodePipe) {
-			defer wg.Done()
-			for ck := range p.ch {
-				c.serveChunk(sr, ck)
-				ck.n = 0
-				p.free <- ck
+	} else {
+		for i := range pipes {
+			pipes[i].ch = make(chan []routedScenarioReq, scenarioChunkDepth)
+			pipes[i].free = make(chan []routedScenarioReq, scenarioChunkDepth+2)
+			for j := 0; j < scenarioChunkDepth+2; j++ {
+				pipes[i].free <- make([]routedScenarioReq, 0, chunkReqs)
 			}
-		}(&pipes[i])
+			wg.Add(1)
+			go func(p *nodePipe) {
+				defer wg.Done()
+				for ck := range p.ch {
+					c.serveChunk(sr, ck)
+					p.free <- ck[:0]
+				}
+			}(&pipes[i])
+		}
 	}
 	// primary caches shard → primary-node routing for the common inst==0
 	// case, saving two pointer hops per generated request.
@@ -723,24 +733,28 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 		}
 		p := &pipes[node]
 		if p.cur == nil {
-			p.cur = <-p.free
+			if inline {
+				// Allocated on first use: an idle node costs nothing.
+				p.cur = make([]routedScenarioReq, 0, chunkReqs)
+			} else {
+				p.cur = <-p.free
+			}
 		}
-		p.cur.reqs[p.cur.n] = routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta}
-		p.cur.n++
-		if p.cur.n == scenarioChunkReqs {
-			p.ch <- p.cur
-			p.cur = nil
+		p.cur = append(p.cur, routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta})
+		if len(p.cur) == cap(p.cur) {
+			flush(p)
 		}
 	})
 	for i := range pipes {
-		if p := &pipes[i]; p.cur != nil && p.cur.n > 0 {
-			p.ch <- p.cur
-			p.cur = nil
+		if p := &pipes[i]; len(p.cur) > 0 {
+			flush(p)
 		}
 		// Idle nodes' goroutines exit on the close; their timelines still
 		// fire during the drain in finishScenario, exactly as in the
 		// sequential engine.
-		close(pipes[i].ch)
+		if !inline {
+			close(pipes[i].ch)
+		}
 	}
 	wg.Wait()
 	return c.finishScenario(sr, scn, bounds)
@@ -748,124 +762,18 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 
 // serveChunk serves one chunk in admission windows: prefetch the window's
 // service-table cache lines, then serve the window.
-func (c *Cluster) serveChunk(sr *scenarioRun, ck *scenarioChunk) {
-	for base := 0; base < ck.n; base += admitWindow {
-		end := base + admitWindow
-		if end > ck.n {
-			end = ck.n
-		}
-		for j := base; j < end; j++ {
-			rr := &ck.reqs[j]
+func (c *Cluster) serveChunk(sr *scenarioRun, ck []routedScenarioReq) {
+	for base := 0; base < len(ck); base += admitWindow {
+		win := ck[base:min(base+admitWindow, len(ck))]
+		for j := range win {
+			rr := &win[j]
 			c.shards[rr.shard].instances[rr.inst].svc.PrefetchKey(rr.req.Key)
 		}
-		for j := base; j < end; j++ {
-			rr := &ck.reqs[j]
+		for j := range win {
+			rr := &win[j]
 			c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
 		}
 	}
-}
-
-// runScenarioPartitioned is the single-core variant of the parallel engine:
-// it materializes the full per-node partition first, then serves each
-// node's whole sub-stream on its own goroutine. The per-node sub-streams
-// and serve orders are exactly the pipeline's, so the report is
-// bit-identical; only the wall-clock shape differs.
-func (c *Cluster) runScenarioPartitioned(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
-	if flat, ok := scn.FlatLoad(); ok && topo == nil && res == nil {
-		return c.runFlatPartitioned(flat, scn)
-	}
-	perNode := make([][]routedScenarioReq, len(c.nodes))
-	var budget int64
-	for _, p := range scn.Phases {
-		if p.Requests <= 0 {
-			budget = 0 // a duration-bounded phase makes the total unknowable
-			break
-		}
-		budget += p.Requests
-	}
-	if budget > 0 {
-		// Pre-size assuming an even spread; skewed routings just append.
-		per := int(budget)/len(c.nodes) + len(c.nodes)
-		for i := range perNode {
-			perNode[i] = make([]routedScenarioReq, 0, per)
-		}
-	}
-	sr := c.newScenarioRun(scn, topo, res)
-	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, pc int32, meta resAttempt) {
-		node := c.shards[shard].instances[inst].node.Index
-		perNode[node] = append(perNode[node], routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta})
-	})
-
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		reqs := perNode[i]
-		if len(reqs) == 0 {
-			// Idle nodes still fire their timeline — during the drain in
-			// finishScenario, exactly as in the sequential engine.
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range reqs {
-				rr := &reqs[k]
-				c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
-			}
-		}()
-	}
-	wg.Wait()
-	return c.finishScenario(sr, scn, bounds)
-}
-
-// runFlatPartitioned is runScenarioPartitioned specialized to the flat
-// single-phase load with no topology or resilience schedule — every
-// Cluster.Run on one core lands here. On this path the routing metadata is
-// constant (primary instance, no segmentation cell, empty resilience
-// verdict), so the partition stores bare workload.Requests — half the bytes
-// of a routedScenarioReq — and the serving goroutine re-derives the shard
-// from the key, which is exactly how the generation side routed it.
-func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scenario) ScenarioReport {
-	sr := c.newScenarioRun(scn, nil, nil)
-	perNode := make([][]workload.Request, len(c.nodes))
-	if flat.Requests > 0 {
-		per := int(flat.Requests)/len(c.nodes) + len(c.nodes)
-		for i := range perNode {
-			perNode[i] = make([]workload.Request, 0, per)
-		}
-	}
-	primary := make([]int32, len(c.shards))
-	for i, sh := range c.shards {
-		primary[i] = int32(sh.node.Index)
-	}
-	d := workload.NewLoadDriver(flat)
-	bound := workload.PhaseBound{Start: flat.Start, End: flat.Start}
-	for {
-		req, ok := d.Next()
-		if !ok {
-			break
-		}
-		n := primary[c.router.ShardForKey(req.Key)]
-		perNode[n] = append(perNode[n], req)
-		bound.End = req.At
-		bound.Requests++
-	}
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		reqs := perNode[i]
-		if len(reqs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range reqs {
-				rr := &reqs[k]
-				c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, -1, *rr, resAttempt{})
-			}
-		}()
-	}
-	wg.Wait()
-	return c.finishScenario(sr, scn, []workload.PhaseBound{bound})
 }
 
 // finishScenario drains every node's remaining timeline, runs each node to

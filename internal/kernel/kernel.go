@@ -228,8 +228,9 @@ func (k *Kernel) Scheduler() *simtime.Scheduler { return k.sched }
 // Disk returns the node's disk device.
 func (k *Kernel) Disk() *Disk { return k.disk }
 
-// Costs returns the cost table.
-func (k *Kernel) Costs() CostModel { return k.cfg.Costs }
+// Costs returns the cost table, read-only: callers on the per-request path
+// read a field or two, and a pointer spares them copying the whole table.
+func (k *Kernel) Costs() *CostModel { return &k.cfg.Costs }
 
 // PageSize returns the page size in bytes.
 func (k *Kernel) PageSize() int64 { return k.cfg.PageSize }
