@@ -161,12 +161,6 @@ func TestHistogramModeMemoryBounded(t *testing.T) {
 	}
 }
 
-// inlineChunk is the per-node chunk capacity of the single-core engine on
-// a fleet of the given size.
-func inlineChunk(nodes int) int {
-	return max(inlineChunkTotal/nodes, scenarioChunkReqs)
-}
-
 // TestParallelSingleCoreMatchesSequential pins the parallel engine's
 // single-core mode. At GOMAXPROCS=1 it starts no goroutines: the generating
 // goroutine serves each node's chunk inline the moment it fills, and the
@@ -201,7 +195,7 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 
 	t.Run("flat", func(t *testing.T) {
 		rep := flat(t, 300_000)
-		chunk := inlineChunk(len(rep.PerNode))
+		chunk := inlineChunkReqs(len(rep.PerNode))
 		hottest := 0
 		for _, nr := range rep.PerNode {
 			hottest = max(hottest, nr.Latency.Count)
@@ -213,7 +207,7 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 
 	t.Run("under-one-chunk", func(t *testing.T) {
 		rep := flat(t, 2_000)
-		if chunk := inlineChunk(len(rep.PerNode)); rep.Requests >= int64(chunk) {
+		if chunk := inlineChunkReqs(len(rep.PerNode)); rep.Requests >= int64(chunk) {
 			t.Fatalf("load of %d requests fills a %d-request chunk", rep.Requests, chunk)
 		}
 	})

@@ -698,7 +698,7 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 	}
 	var wg sync.WaitGroup
 	if inline {
-		chunkReqs = max(inlineChunkTotal/len(c.nodes), scenarioChunkReqs)
+		chunkReqs = inlineChunkReqs(len(c.nodes))
 		flush = func(p *nodePipe) {
 			c.serveChunk(sr, p.cur)
 			p.cur = p.cur[:0]
@@ -758,6 +758,12 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 	}
 	wg.Wait()
 	return c.finishScenario(sr, scn, bounds)
+}
+
+// inlineChunkReqs is the single-core per-node chunk capacity on a fleet of
+// the given size.
+func inlineChunkReqs(nodes int) int {
+	return max(inlineChunkTotal/nodes, scenarioChunkReqs)
 }
 
 // serveChunk serves one chunk in admission windows: prefetch the window's
