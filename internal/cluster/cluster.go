@@ -963,13 +963,13 @@ func (c *Cluster) sortLeaves(sortNode func(ni int)) {
 //
 // By default Run uses the parallel engine: the request stream is routed
 // to per-node chunks (routing is deterministic) and every node executes
-// its sub-stream in arrival order — on its own goroutine on more than one
-// core, inline in the generating goroutine on one. Nodes are causally
-// independent after routing — a request only ever touches its own node's
-// scheduler, kernel, RNG and shards — so the per-node results are
-// identical to the sequential engine's and the merged Report is
-// bit-identical. Config.Sequential selects the single-goroutine engine
-// that interleaves all nodes in global arrival order.
+// its sub-stream in arrival order on its own goroutine, at every core
+// count. Nodes are causally independent after routing — a request only
+// ever touches its own node's scheduler, kernel, RNG and shards — so the
+// per-node results are identical to the sequential engine's and the
+// merged Report is bit-identical. Config.Sequential selects the
+// single-goroutine engine that interleaves all nodes in global arrival
+// order.
 //
 // Run may be called repeatedly with successive streams. Every digest in
 // the returned Report covers exactly that run (PerNode and PerShard sum to

@@ -161,17 +161,15 @@ func TestHistogramModeMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestParallelSingleCoreMatchesSequential pins the parallel engine's
-// single-core mode. At GOMAXPROCS=1 it starts no goroutines: the generating
-// goroutine serves each node's chunk inline the moment it fills, and the
-// partial chunks after generation ends. The rest of the suite runs at the
-// host's GOMAXPROCS (≥2 in CI), which exercises the channel pipeline, so
-// this test — with CI's one-core run of the identity suite — is the
-// coverage the inline path gets: a flat load that fills and flushes the
-// hottest node's chunk several times, a load smaller than one chunk (only
-// the final flush serves), a multi-phase scenario with a live timeline,
-// and a resilience drill with a kill and restore. Each must reproduce the
-// sequential report bit for bit.
+// TestParallelSingleCoreMatchesSequential pins the parallel engine at
+// GOMAXPROCS=1, where its per-node goroutines and the generating goroutine
+// share one thread and hand chunks over only at channel boundaries. The
+// rest of the suite runs at the host's GOMAXPROCS (≥2 in CI), so this test
+// — with CI's one-core run of the identity suite — covers that schedule: a
+// flat load that fills the hottest node's chunk several times, a load
+// smaller than one chunk (only the final partial chunks are served), a
+// multi-phase scenario with a live timeline, and a resilience drill with a
+// kill and restore. Each must reproduce the sequential report bit for bit.
 func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -194,21 +192,20 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 	}
 
 	t.Run("flat", func(t *testing.T) {
-		rep := flat(t, 300_000)
-		chunk := inlineChunkReqs(len(rep.PerNode))
+		rep := flat(t, 20_000)
 		hottest := 0
 		for _, nr := range rep.PerNode {
 			hottest = max(hottest, nr.Latency.Count)
 		}
-		if hottest < 3*chunk {
-			t.Fatalf("hottest node served %d requests: fewer than three %d-request chunks", hottest, chunk)
+		if hottest < 3*scenarioChunkReqs {
+			t.Fatalf("hottest node served %d requests: fewer than three %d-request chunks", hottest, scenarioChunkReqs)
 		}
 	})
 
 	t.Run("under-one-chunk", func(t *testing.T) {
-		rep := flat(t, 2_000)
-		if chunk := inlineChunkReqs(len(rep.PerNode)); rep.Requests >= int64(chunk) {
-			t.Fatalf("load of %d requests fills a %d-request chunk", rep.Requests, chunk)
+		rep := flat(t, 400)
+		if rep.Requests >= scenarioChunkReqs {
+			t.Fatalf("load of %d requests fills a %d-request chunk", rep.Requests, scenarioChunkReqs)
 		}
 	})
 

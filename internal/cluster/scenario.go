@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -641,17 +640,10 @@ type routedScenarioReq struct {
 
 const (
 	// scenarioChunkReqs is the pipeline transfer unit of the parallel
-	// engine on more than one core: requests per chunk. Large enough that
-	// channel operations amortize to noise, small enough that a chunk is
-	// still cache-warm from generation when its node serves it. It is also
-	// the floor of the single-core chunk.
+	// engine: requests per chunk. Large enough that channel operations
+	// amortize to noise, small enough that a chunk is still cache-warm from
+	// generation when its node serves it.
 	scenarioChunkReqs = 512
-	// inlineChunkTotal is the single-core chunk budget, split evenly across
-	// the nodes: on one core a full chunk is served inline by the
-	// generating goroutine, so each node serves long contiguous runs and
-	// keeps its working set hot between runs, while the engine's memory
-	// stays O(nodes), not O(requests).
-	inlineChunkTotal = 1 << 17
 	// scenarioChunkDepth is the per-node channel depth: how far generation
 	// may run ahead of a node before it blocks on that node's backpressure.
 	scenarioChunkDepth = 4
@@ -664,24 +656,19 @@ const (
 )
 
 // runScenarioParallel streams the generated request stream to the serving
-// nodes in per-node chunks: generation (one goroutine, the deterministic
-// global-order walk) routes each request by its SERVING node — failover
-// hands it to the replica's chunk — so every node consumes its own
-// sub-stream in arrival order, which is all a node can observe, and the
-// report stays bit-identical to the sequential engine's. Memory is
-// O(nodes × chunk), never O(requests).
-//
-// How a full chunk reaches its node depends on the core count. On more
-// than one core each node has a goroutine fed through a bounded channel of
-// recycled 512-request chunks, so generation overlaps serving; the channel
-// send is the happens-before edge that makes generation-side state (e.g.
-// migration manifests filled by diverted writes) visible to the serving
-// goroutine. On one core there is nothing to overlap, and a fine cadence of
-// channel handoffs interleaves generation with serving so closely that
-// each side evicts the other's working set; instead the generating
-// goroutine serves each node's large chunk inline the moment it fills,
-// then reuses it. Either way a chunk is served only after generation has
-// passed every instant in it, so the manifest completeness argument holds.
+// nodes through bounded per-node pipelines of recycled chunks: generation
+// (one goroutine, the deterministic global-order walk) routes each request
+// by its SERVING node — failover hands it to the replica's chunk — so every
+// node consumes its own sub-stream in arrival order, which is all a node
+// can observe, and the report stays bit-identical to the sequential
+// engine's. Memory is O(nodes × chunk), never O(requests). The same
+// pipeline runs at every core count: on more than one core generation
+// overlaps serving; on one core the scheduler alternates between them at
+// the chunk and channel-depth cadence. The channel send is the
+// happens-before edge that makes generation-side state (e.g. migration
+// manifests filled by diverted writes) visible to the serving goroutine,
+// and a chunk is sent only after generation has passed every instant in
+// it, so the manifest is complete by the time a node serves past it.
 func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
 	sr := c.newScenarioRun(scn, topo, res)
 	type nodePipe struct {
@@ -690,35 +677,21 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 		cur  []routedScenarioReq
 	}
 	pipes := make([]nodePipe, len(c.nodes))
-	inline := runtime.GOMAXPROCS(0) == 1
-	chunkReqs := scenarioChunkReqs
-	flush := func(p *nodePipe) {
-		p.ch <- p.cur
-		p.cur = nil
-	}
 	var wg sync.WaitGroup
-	if inline {
-		chunkReqs = inlineChunkReqs(len(c.nodes))
-		flush = func(p *nodePipe) {
-			c.serveChunk(sr, p.cur)
-			p.cur = p.cur[:0]
+	for i := range pipes {
+		pipes[i].ch = make(chan []routedScenarioReq, scenarioChunkDepth)
+		pipes[i].free = make(chan []routedScenarioReq, scenarioChunkDepth+2)
+		for j := 0; j < scenarioChunkDepth+2; j++ {
+			pipes[i].free <- make([]routedScenarioReq, 0, scenarioChunkReqs)
 		}
-	} else {
-		for i := range pipes {
-			pipes[i].ch = make(chan []routedScenarioReq, scenarioChunkDepth)
-			pipes[i].free = make(chan []routedScenarioReq, scenarioChunkDepth+2)
-			for j := 0; j < scenarioChunkDepth+2; j++ {
-				pipes[i].free <- make([]routedScenarioReq, 0, chunkReqs)
+		wg.Add(1)
+		go func(p *nodePipe) {
+			defer wg.Done()
+			for ck := range p.ch {
+				c.serveChunk(sr, ck)
+				p.free <- ck[:0]
 			}
-			wg.Add(1)
-			go func(p *nodePipe) {
-				defer wg.Done()
-				for ck := range p.ch {
-					c.serveChunk(sr, ck)
-					p.free <- ck[:0]
-				}
-			}(&pipes[i])
-		}
+		}(&pipes[i])
 	}
 	// primary caches shard → primary-node routing for the common inst==0
 	// case, saving two pointer hops per generated request.
@@ -733,37 +706,26 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 		}
 		p := &pipes[node]
 		if p.cur == nil {
-			if inline {
-				// Allocated on first use: an idle node costs nothing.
-				p.cur = make([]routedScenarioReq, 0, chunkReqs)
-			} else {
-				p.cur = <-p.free
-			}
+			p.cur = <-p.free
 		}
 		p.cur = append(p.cur, routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta})
-		if len(p.cur) == cap(p.cur) {
-			flush(p)
+		if len(p.cur) == scenarioChunkReqs {
+			p.ch <- p.cur
+			p.cur = nil
 		}
 	})
 	for i := range pipes {
 		if p := &pipes[i]; len(p.cur) > 0 {
-			flush(p)
+			p.ch <- p.cur
+			p.cur = nil
 		}
 		// Idle nodes' goroutines exit on the close; their timelines still
 		// fire during the drain in finishScenario, exactly as in the
 		// sequential engine.
-		if !inline {
-			close(pipes[i].ch)
-		}
+		close(pipes[i].ch)
 	}
 	wg.Wait()
 	return c.finishScenario(sr, scn, bounds)
-}
-
-// inlineChunkReqs is the single-core per-node chunk capacity on a fleet of
-// the given size.
-func inlineChunkReqs(nodes int) int {
-	return max(inlineChunkTotal/nodes, scenarioChunkReqs)
 }
 
 // serveChunk serves one chunk in admission windows: prefetch the window's
