@@ -284,8 +284,18 @@ func (d *LoadDriver) Next() (req Request, ok bool) {
 		gap /= d.shape(d.next)
 	}
 	d.next = d.next.Add(simtime.Duration(gap * float64(simtime.Second)))
+	if d.zipf != nil && d.emitted%keyPrefetchBatch == 0 {
+		// Each request draws key, op and gap (the gap's ziggurat almost
+		// always in one draw), so the next batch's keys sit every third draw.
+		d.zipf.Prefetch(keyPrefetchBatch, 3)
+	}
 	return req, true
 }
+
+// keyPrefetchBatch is how many requests' Zipf key slots Next loads ahead
+// at once: enough overlapping misses to hide most of a slot's DRAM latency
+// when serving has evicted the table between generation bursts.
+const keyPrefetchBatch = 8
 
 func (d *LoadDriver) key() int64 {
 	if d.zipf != nil {

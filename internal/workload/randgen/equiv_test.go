@@ -150,6 +150,28 @@ func TestZipfDrawsStayInRange(t *testing.T) {
 	NewZipf(New(5), 1, 1, 99)
 }
 
+// TestZipfPrefetchConsumesNoDraws pins that Prefetch is invisible to the
+// stream: interleaving it with draws (and with other draws on the shared
+// stream) leaves every variate unchanged, on the alias table and the
+// fallback alike.
+func TestZipfPrefetchConsumesNoDraws(t *testing.T) {
+	for _, imax := range []uint64{999, aliasMaxKeys} {
+		plain, fetched := New(11), New(11)
+		zp, zf := NewZipf(plain, 1.1, 1, imax), NewZipf(fetched, 1.1, 1, imax)
+		for i := 0; i < 10_000; i++ {
+			if i%8 == 0 {
+				zf.Prefetch(8, 3)
+			}
+			if a, b := zp.Uint64(), zf.Uint64(); a != b {
+				t.Fatalf("imax=%d draw %d: %d without prefetch, %d with", imax, i, a, b)
+			}
+			if a, b := plain.Uint64(), fetched.Uint64(); a != b {
+				t.Fatalf("imax=%d draw %d: shared stream diverged", imax, i)
+			}
+		}
+	}
+}
+
 // expBucketProbs returns k equal-probability buckets of Exp(1); edges are
 // the analytic quantiles, so every bucket expects samples/k hits.
 func expBucketEdges(k int) []float64 {
